@@ -4,13 +4,16 @@ Each ``bench_tableNN.py`` module does three things:
 
 1. **benchmark** a representative cell with pytest-benchmark (wall time
    of the whole simulated experiment),
-2. reproduce the full table once (single seed for speed) and **assert
-   the paper's shape** — orderings and approximate factors,
-3. **print** the measured-vs-paper table (visible with ``pytest -s``).
+2. reproduce the full table once through the report's own driver
+   (:mod:`repro.analysis.report`, single seed for speed) and **assert
+   the paper's shape** on the rows it returns — orderings and
+   approximate factors,
+3. **print** the report's measured-vs-paper table (visible with
+   ``pytest -s``).
 
 Tables 4–9 share one grid layout, so :func:`protocol_table_suite`
-builds the whole module namespace (fixture plus test) and each
-``bench_table0N.py`` reduces to a two-line shim.
+builds the test and each ``bench_table0N.py`` reduces to a two-line
+shim.
 
 Absolute numbers are not asserted tightly: the substrate is a
 simulator, not the authors' testbed.  Shape is.
@@ -18,34 +21,23 @@ simulator, not the authors' testbed.  Shape is.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict, Sequence, Tuple
 
-import pytest
-
-from repro.analysis.paperdata import PROTOCOL_TABLES, PaperCell
-from repro.analysis import TABLE_NUMBERS
-from repro.core import FIRST_TIME, REVALIDATE, TABLE_MODES
+from repro.analysis import ComparisonRow, reproduce_protocol_table
+from repro.analysis.paperdata import PROTOCOL_TABLES
+from repro.core import FIRST_TIME, REVALIDATE
 from repro.core.runner import AveragedResult
-from repro.matrix import ExperimentSpec, MatrixRunner, run_unit
+from repro.matrix import ExperimentSpec, run_unit
 
-__all__ = ["run_protocol_table", "assert_protocol_table_shape",
-           "format_cells", "representative_cell",
-           "protocol_table_suite"]
+__all__ = ["by_cell", "assert_protocol_table_shape",
+           "representative_cell", "protocol_table_suite"]
 
 Cells = Dict[Tuple[str, str], AveragedResult]
 
 
-def run_protocol_table(server_name: str, environment_name: str) -> Cells:
-    """Run every (mode, scenario) cell of one table with one seed."""
-    keys = [(mode.name, scenario)
-            for mode in TABLE_MODES[environment_name]
-            for scenario in (FIRST_TIME, REVALIDATE)]
-    specs = [ExperimentSpec(mode=mode_name, scenario=scenario,
-                            environment=environment_name,
-                            server=server_name, seeds=(0,))
-             for mode_name, scenario in keys]
-    results = MatrixRunner().run_many(specs)
-    return dict(zip(keys, results))
+def by_cell(rows: Sequence[ComparisonRow]) -> Cells:
+    """Index a reproduced table's rows by (label, scenario)."""
+    return {(row.label, row.scenario): row.measured for row in rows}
 
 
 def representative_cell(server_name: str, environment_name: str):
@@ -61,8 +53,9 @@ def representative_cell(server_name: str, environment_name: str):
 
 
 def assert_protocol_table_shape(server_name: str, environment_name: str,
-                                cells: Cells) -> None:
+                                rows: Sequence[ComparisonRow]) -> None:
     """The paper's qualitative table structure, as assertions."""
+    cells = by_cell(rows)
     has_http10 = ("HTTP/1.0", FIRST_TIME) in cells
     pipelined_f = cells[("HTTP/1.1 Pipelined", FIRST_TIME)]
     pipelined_r = cells[("HTTP/1.1 Pipelined", REVALIDATE)]
@@ -97,54 +90,30 @@ def assert_protocol_table_shape(server_name: str, environment_name: str,
             key, cell.packets, expected.packets)
 
 
-def format_cells(server_name: str, environment_name: str,
-                 cells: Cells) -> str:
-    """Measured-vs-paper rendering for one table."""
-    paper = PROTOCOL_TABLES[(server_name, environment_name)]
-    number = TABLE_NUMBERS[(server_name, environment_name)]
-    lines = [f"Table {number} - {server_name} - {environment_name} "
-             f"(single seed)"]
-    header = (f"{'mode':34s} {'scenario':11s} "
-              f"{'Pa':>7s} {'Pa(p)':>7s} {'Bytes':>8s} {'B(p)':>8s} "
-              f"{'Sec':>7s} {'Sec(p)':>7s}")
-    lines.append(header)
-    for key, cell in cells.items():
-        expected: PaperCell = paper[key]
-        lines.append(
-            f"{key[0]:34s} {key[1]:11s} "
-            f"{cell.packets:7.0f} {expected.packets:7.1f} "
-            f"{cell.payload_bytes:8.0f} {expected.payload_bytes:8.0f} "
-            f"{cell.elapsed:7.2f} {expected.seconds:7.2f}")
-    return "\n".join(lines)
-
-
 def protocol_table_suite(server_name: str, environment_name: str,
                          number: int) -> Dict[str, object]:
-    """Build a bench_tableNN module namespace (fixture + test).
+    """Build a bench_tableNN module namespace.
 
     Use as ``globals().update(protocol_table_suite("Jigsaw", "LAN", 4))``
     so the grid definition lives in one place and the per-table modules
     stay declarative.
     """
 
-    @pytest.fixture(scope="module", name="cells")
-    def cells_fixture():
-        return run_protocol_table(server_name, environment_name)
-
-    def test_table(benchmark, cells):
+    def test_table(benchmark):
         result = benchmark(representative_cell(server_name,
                                                environment_name))
         # run_unit raises ExperimentError on an incomplete or corrupt
         # transfer, so a returned result is a completed one.
         assert result.packets > 0
         assert result.elapsed > 0
-        assert_protocol_table_shape(server_name, environment_name, cells)
+        rows, text = reproduce_protocol_table(server_name,
+                                              environment_name, runs=1)
+        assert_protocol_table_shape(server_name, environment_name, rows)
         print()
-        print(format_cells(server_name, environment_name, cells))
+        print(text)
 
     return {
         "SERVER": server_name,
         "ENVIRONMENT": environment_name,
-        "cells": cells_fixture,
         f"test_table{number:02d}": test_table,
     }

@@ -6,46 +6,28 @@ paper's point: ~68% of the packets and ~64% of the time saved — deflate
 at the content layer beats the modem's own compression.
 """
 
-import pytest
-
-from repro.analysis.paperdata import MODEM_TABLE
+from repro.analysis import reproduce_modem_experiment
 from repro.client.robot import ClientConfig
 from repro.core import FIRST_TIME, HTTP11_PERSISTENT, run_experiment
-from repro.server import APACHE, JIGSAW
+from repro.server import APACHE
 from repro.simnet import PPP
 
-PROFILES = {"Jigsaw": JIGSAW, "Apache": APACHE}
 
-
-def fetch_html_only(profile, compressed, seed=0):
-    config = ClientConfig(accept_deflate=compressed, follow_images=False)
-    return run_experiment(HTTP11_PERSISTENT, FIRST_TIME, environment=PPP,
-                          profile=profile,
-                          seed=seed, client_config=config, verify=False)
-
-
-@pytest.fixture(scope="module")
-def cells():
-    return {
-        (name, variant): fetch_html_only(profile, variant == "compressed")
-        for name, profile in PROFILES.items()
-        for variant in ("uncompressed", "compressed")
-    }
-
-
-def test_modem_compression(benchmark, cells):
-    result = benchmark(lambda: fetch_html_only(APACHE, True))
+def test_modem_compression(benchmark):
+    result = benchmark(lambda: run_experiment(
+        HTTP11_PERSISTENT, FIRST_TIME, environment=PPP, profile=APACHE,
+        seed=0, verify=False,
+        client_config=ClientConfig(accept_deflate=True,
+                                   follow_images=False)))
     assert result.fetch.complete
 
+    results, text = reproduce_modem_experiment(runs=1)
     print()
-    print(f"{'server':7s} {'variant':13s} {'Pa':>5s} {'Pa(p)':>5s} "
-          f"{'Sec':>6s} {'Sec(p)':>6s}")
-    for (name, variant), cell in cells.items():
-        paper_pa, paper_sec = MODEM_TABLE[(name, variant)]
-        print(f"{name:7s} {variant:13s} {cell.packets:5.0f} "
-              f"{paper_pa:5.0f} {cell.elapsed:6.2f} {paper_sec:6.2f}")
+    print(text)
 
-    for name in PROFILES:
+    cells = {(entry["server"], entry["variant"]): entry["measured"]
+             for entry in results}
+    for name in ("Jigsaw", "Apache"):
         plain = cells[(name, "uncompressed")]
         deflated = cells[(name, "compressed")]
         packet_saving = 1 - deflated.packets / plain.packets

@@ -6,35 +6,22 @@ configuration whose surprising elapsed times ("simultaneously very
 happy and quite disappointed") started the paper's tuning journey.
 """
 
-import pytest
-
-from repro.analysis.paperdata import TABLE3
-from repro.core import (HTTP10_MODE, HTTP11_PERSISTENT, HTTP11_PIPELINED,
-                        REVALIDATE, initial_tuning_client_config,
-                        run_experiment)
+from repro.analysis import reproduce_table3
+from repro.core import (HTTP11_PIPELINED, REVALIDATE,
+                        initial_tuning_client_config, run_experiment)
 from repro.server import JIGSAW_INITIAL
 from repro.simnet import LAN
 
-MODES = (HTTP10_MODE, HTTP11_PERSISTENT, HTTP11_PIPELINED)
 
-
-@pytest.fixture(scope="module")
-def cells():
-    return {
-        mode.name: run_experiment(
-            mode, REVALIDATE, environment=LAN, profile=JIGSAW_INITIAL, seed=0,
-            client_config=initial_tuning_client_config(mode))
-        for mode in MODES
-    }
-
-
-def test_table03(benchmark, cells):
+def test_table03(benchmark):
     result = benchmark(lambda: run_experiment(
         HTTP11_PIPELINED, REVALIDATE, environment=LAN, profile=JIGSAW_INITIAL,
         seed=0,
         client_config=initial_tuning_client_config(HTTP11_PIPELINED)))
     assert result.fetch.complete
 
+    results, text = reproduce_table3(runs=1)
+    cells = {entry["mode"]: entry["measured"] for entry in results}
     http10 = cells["HTTP/1.0"]
     persistent = cells["HTTP/1.1"]
     pipelined = cells["HTTP/1.1 Pipelined"]
@@ -53,12 +40,4 @@ def test_table03(benchmark, cells):
     assert http10.connections_used >= 40
 
     print()
-    print(f"{'mode':22s} {'socks':>5s} {'c->s':>5s} {'s->c':>5s} "
-          f"{'Pa':>5s} {'Pa(p)':>5s} {'Sec':>6s} {'Sec(p)':>6s}")
-    for name, cell in cells.items():
-        paper = TABLE3[name]
-        print(f"{name:22s} {cell.connections_used:5.0f} "
-              f"{cell.packets_client_to_server:5.0f} "
-              f"{cell.packets_server_to_client:5.0f} "
-              f"{cell.packets:5.0f} {paper.total_packets:5d} "
-              f"{cell.elapsed:6.2f} {paper.seconds:6.2f}")
+    print(text)

@@ -5,12 +5,12 @@ blow-up against Jigsaw (no Last-Modified => HEAD checks => keep-alive
 dropped per image).
 """
 
-import pytest
+from _common import by_cell
 
-from repro.analysis.paperdata import BROWSER_TABLES
+from repro.analysis import reproduce_browser_table
 from repro.core import (FIRST_TIME, HTTP10_MODE, REVALIDATE,
                         run_experiment)
-from repro.core.browsers import BROWSERS, IE_40B1, NETSCAPE_40B5
+from repro.core.browsers import NETSCAPE_40B5
 from repro.server import JIGSAW
 from repro.simnet import PPP
 
@@ -18,24 +18,14 @@ SERVER_NAME = "Jigsaw"
 PROFILE = JIGSAW
 
 
-@pytest.fixture(scope="module")
-def cells():
-    out = {}
-    for browser in BROWSERS:
-        for scenario in (FIRST_TIME, REVALIDATE):
-            out[(browser.name, scenario)] = run_experiment(
-                HTTP10_MODE, scenario, environment=PPP, profile=PROFILE,
-                seed=0,
-                client_config=browser.client_config())
-    return out
-
-
-def test_table10(benchmark, cells):
+def test_table10(benchmark):
     result = benchmark(lambda: run_experiment(
         HTTP10_MODE, REVALIDATE, environment=PPP, profile=PROFILE, seed=0,
         client_config=NETSCAPE_40B5.client_config()))
     assert result.fetch.complete
 
+    rows, text = reproduce_browser_table(SERVER_NAME, runs=1)
+    cells = by_cell(rows)
     nn_reval = cells[("Netscape Navigator", REVALIDATE)]
     ie_reval = cells[("Internet Explorer", REVALIDATE)]
     # IE's revalidation against Jigsaw costs several times Navigator's.
@@ -47,16 +37,4 @@ def test_table10(benchmark, cells):
     assert 0.8 <= ie_first.packets / nn_first.packets <= 1.3
 
     print()
-    _print_rows(cells, SERVER_NAME)
-
-
-def _print_rows(cells, server_name):
-    paper = BROWSER_TABLES[server_name]
-    print(f"{'browser':20s} {'scenario':11s} {'Pa':>6s} {'Pa(p)':>6s} "
-          f"{'Bytes':>8s} {'B(p)':>8s} {'Sec':>6s} {'Sec(p)':>6s}")
-    for key, cell in cells.items():
-        expected = paper[key]
-        print(f"{key[0]:20s} {key[1]:11s} {cell.packets:6.0f} "
-              f"{expected.packets:6.1f} {cell.payload_bytes:8.0f} "
-              f"{expected.payload_bytes:8.0f} {cell.elapsed:6.1f} "
-              f"{expected.seconds:6.1f}")
+    print(text)

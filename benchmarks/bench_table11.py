@@ -5,12 +5,11 @@ cleanly; the table's story is browser header verbosity versus the
 robot.
 """
 
-import pytest
+from _common import by_cell
 
-from repro.analysis.paperdata import BROWSER_TABLES
-from repro.core import (FIRST_TIME, HTTP10_MODE, REVALIDATE,
-                        run_experiment)
-from repro.core.browsers import BROWSERS, NETSCAPE_40B5
+from repro.analysis import reproduce_browser_table
+from repro.core import HTTP10_MODE, REVALIDATE, run_experiment
+from repro.core.browsers import NETSCAPE_40B5
 from repro.server import APACHE
 from repro.simnet import PPP
 
@@ -18,19 +17,7 @@ SERVER_NAME = "Apache"
 PROFILE = APACHE
 
 
-@pytest.fixture(scope="module")
-def cells():
-    out = {}
-    for browser in BROWSERS:
-        for scenario in (FIRST_TIME, REVALIDATE):
-            out[(browser.name, scenario)] = run_experiment(
-                HTTP10_MODE, scenario, environment=PPP, profile=PROFILE,
-                seed=0,
-                client_config=browser.client_config())
-    return out
-
-
-def test_table11(benchmark, cells):
+def test_table11(benchmark):
     result = benchmark(lambda: run_experiment(
         HTTP10_MODE, REVALIDATE, environment=PPP, profile=PROFILE, seed=0,
         client_config=NETSCAPE_40B5.client_config()))
@@ -38,19 +25,13 @@ def test_table11(benchmark, cells):
 
     # Both browsers revalidate successfully against Apache: mostly 304s,
     # packet counts within ~30% of each other (no IE blow-up here).
+    rows, text = reproduce_browser_table(SERVER_NAME, runs=1)
+    cells = by_cell(rows)
     nn_reval = cells[("Netscape Navigator", REVALIDATE)]
     ie_reval = cells[("Internet Explorer", REVALIDATE)]
-    assert nn_reval.statuses.get(304, 0) == 43
-    assert ie_reval.statuses.get(304, 0) == 43
+    assert nn_reval.runs[0].statuses.get(304, 0) == 43
+    assert ie_reval.runs[0].statuses.get(304, 0) == 43
     assert 0.7 <= ie_reval.packets / nn_reval.packets <= 1.4
 
     print()
-    paper = BROWSER_TABLES[SERVER_NAME]
-    print(f"{'browser':20s} {'scenario':11s} {'Pa':>6s} {'Pa(p)':>6s} "
-          f"{'Bytes':>8s} {'B(p)':>8s} {'Sec':>6s} {'Sec(p)':>6s}")
-    for key, cell in cells.items():
-        expected = paper[key]
-        print(f"{key[0]:20s} {key[1]:11s} {cell.packets:6.0f} "
-              f"{expected.packets:6.1f} {cell.payload_bytes:8.0f} "
-              f"{expected.payload_bytes:8.0f} {cell.elapsed:6.1f} "
-              f"{expected.seconds:6.1f}")
+    print(text)

@@ -46,6 +46,12 @@ else
     python -m pytest -x -q
 fi
 
+# Paper-shape assertions: Tables 3-11 and the modem test, reproduced
+# through the report's own drivers and checked for the paper's
+# orderings and factors.  They are the reproduction's central claims
+# and take seconds, so FAST mode runs them too.
+python -m pytest benchmarks -q --benchmark-disable
+
 # Exercise the experiment-matrix engine end to end: two worker
 # processes, results cached under a throwaway directory.
 SMOKE_CACHE=".repro-cache/check-smoke"

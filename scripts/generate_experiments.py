@@ -35,7 +35,8 @@ deterministic TCP simulator calibrated with a handful of constants
 DESIGN.md); everything else is emergent from real TCP mechanics, real
 HTTP bytes, and real image codecs.
 
-Headline checks (all enforced by `benchmarks/`):
+Headline checks (all enforced by `benchmarks/`, which
+`scripts/check.sh` runs in every mode):
 
 * pipelined HTTP/1.1 vs HTTP/1.0-with-4-connections: ≥2× fewer packets
   on first retrieval, ~10× on revalidation, lower elapsed time in every

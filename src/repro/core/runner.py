@@ -30,7 +30,7 @@ from ..simnet.link import NetworkEnvironment
 from ..simnet.network import SERVER_HOST, TwoHostNetwork
 from ..simnet.tcp import TcpConfig
 from ..simnet.trace import TraceSummary
-from .modes import ModeTuning, ProtocolMode
+from .modes import ProtocolMode
 from .registry import (resolve_environment, resolve_mode, resolve_profile,
                        resolve_scenario)
 from .scenarios import FIRST_TIME, REVALIDATE, prefill_cache
@@ -323,8 +323,6 @@ def run_experiment(mode: Union[str, ProtocolMode],
                    store: Optional[ResourceStore] = None,
                    seed: int = 0, jitter: float = DEFAULT_JITTER,
                    client_config: Optional[ClientConfig] = None,
-                   flush_timeout: Optional[float] = 0.05,
-                   explicit_flush: bool = True,
                    verify: bool = True,
                    keep_trace: bool = False,
                    sanitize: bool = False,
@@ -376,9 +374,7 @@ def run_experiment(mode: Union[str, ProtocolMode],
     # The server host ran Solaris 2.5, whose delayed-ACK timer is 50 ms
     # (the clients were BSD-derived 200 ms stacks).
     server_tcp = TcpConfig(mss=environment.mss, delack_delay=0.050)
-    config = client_config or mode.client_config(
-        tuning=ModeTuning(flush_timeout=flush_timeout,
-                          explicit_flush=explicit_flush))
+    config = client_config or mode.client_config()
     plan = resolve_fault_plan(faults)
     recovery: Optional[RecoveryLog] = None
     if plan is not None:

@@ -27,7 +27,6 @@ could sit under a pipelined connection unchanged.
 
 from __future__ import annotations
 
-import difflib
 from typing import List, Optional, Tuple
 
 __all__ = ["encode_varint", "decode_varint", "DeltaStreamEncoder",
@@ -37,13 +36,9 @@ __all__ = ["encode_varint", "decode_varint", "DeltaStreamEncoder",
 OP_END = 0x00
 OP_COPY = 0x01
 OP_INSERT = 0x02
-#: Copies shorter than this cost more than they save.
+#: Copies shorter than this cost more than they save; also the anchor
+#: size of the block matcher.
 MIN_COPY = 6
-#: Messages larger than this use the O(n) block matcher instead of
-#: difflib's precise (but quadratic) matcher.
-DIFFLIB_LIMIT = 4096
-#: Anchor size for the block matcher.
-BLOCK = 32
 
 
 def encode_varint(value: int) -> bytes:
@@ -84,23 +79,18 @@ def decode_varint(data: bytes, pos: int = 0) -> Tuple[Optional[int], int]:
 def _matching_blocks(previous: bytes, message: bytes):
     """Monotone (a_start, b_start, size) matches of message vs previous.
 
-    Small inputs use difflib's precise matcher; large ones (a changed
-    43 KB page, say) use an O(n) rsync-style anchor matcher: index
-    ``previous`` at every offset by its 32-byte block, then greedily
-    extend hits both ways.
+    An rsync-style anchor matcher, linear in the input size: index
+    ``previous`` at every offset by its ``MIN_COPY``-byte block, then
+    greedily extend hits both ways.
     """
-    if len(previous) + len(message) <= DIFFLIB_LIMIT:
-        matcher = difflib.SequenceMatcher(None, previous, message,
-                                          autojunk=False)
-        return [tuple(block) for block in matcher.get_matching_blocks()]
     index = {}
-    for offset in range(0, max(0, len(previous) - BLOCK) + 1):
-        index.setdefault(previous[offset:offset + BLOCK], offset)
+    for offset in range(0, max(0, len(previous) - MIN_COPY) + 1):
+        index.setdefault(previous[offset:offset + MIN_COPY], offset)
     matches = []
     position = 0
-    limit = len(message) - BLOCK
+    limit = len(message) - MIN_COPY
     while position <= limit:
-        anchor = index.get(message[position:position + BLOCK])
+        anchor = index.get(message[position:position + MIN_COPY])
         if anchor is None:
             position += 1
             continue

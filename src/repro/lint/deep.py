@@ -125,11 +125,6 @@ class DeepConfig:
             "site": "custom sites bypass the matrix cache; the default "
                     "site is content-addressed by construction",
             "store": "derived from site; same waiver",
-            "flush_timeout": "superseded by client_config, which "
-                             "run_unit always passes from the spec's "
-                             "keyed client_overrides",
-            "explicit_flush": "superseded by client_config (same as "
-                              "flush_timeout)",
         })
     #: Identifier fragments that mark a value as seed-derived.
     seed_fragments: Tuple[str, ...] = ("seed",)

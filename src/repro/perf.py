@@ -169,6 +169,33 @@ def _time_cell(cell: BenchCell, repeats: int) -> Dict[str, object]:
     }
 
 
+def _read_bench_file(path: str) -> Dict[str, object]:
+    """The parsed benchmark file, or ``{}`` if missing or unreadable."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, ValueError):
+        return {}
+
+
+def _write_sections(path: str, **sections: object) -> Dict[str, object]:
+    """Replace the named top-level sections of the benchmark file.
+
+    Every other section — including ones this version of the harness
+    does not know — is written back verbatim.  A missing file starts
+    from an empty skeleton.  Returns the payload written.
+    """
+    payload: Dict[str, object] = {
+        "schema": BENCH_SCHEMA_VERSION, "quick": False,
+        "baseline": {"cells": {}}, "current": {"cells": {}}}
+    payload.update(_read_bench_file(path))
+    payload.update(sections)
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    return payload
+
+
 def run_benchmark(output_path: str = "BENCH_simnet.json", *,
                   quick: bool = False, repeats: Optional[int] = None,
                   log: Callable[[str], None] = lambda line: print(
@@ -186,12 +213,7 @@ def run_benchmark(output_path: str = "BENCH_simnet.json", *,
     # Warm the memoized site/store so cell timings measure simulation.
     run_experiment("pipelined", "first-time", environment="LAN",
                    profile="Apache", seed=0)
-    previous: Dict[str, object] = {}
-    try:
-        with open(output_path) as fh:
-            previous = json.load(fh)
-    except (OSError, ValueError):
-        previous = {}
+    previous = _read_bench_file(output_path)
     current_cells: Dict[str, Dict[str, object]] = {}
     for cell in representative_cells():
         measured = _time_cell(cell, repeats)
@@ -223,21 +245,9 @@ def run_benchmark(output_path: str = "BENCH_simnet.json", *,
         if base and entry["wall_time"] > 0:
             entry["speedup_vs_baseline"] = round(
                 base / entry["wall_time"], 3)
-    payload = {
-        "schema": BENCH_SCHEMA_VERSION,
-        "quick": quick,
-        "baseline": baseline,
-        "current": {"cells": current_cells},
-    }
-    # Sections owned by the other harnesses (``bench --matrix``,
-    # ``bench --fastpath``) ride along verbatim.
-    for section in ("matrix", "fastpath", "fleet"):
-        if section in previous:
-            payload[section] = previous[section]
-    with open(output_path, "w") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    return payload
+    return _write_sections(output_path, schema=BENCH_SCHEMA_VERSION,
+                           quick=quick, baseline=baseline,
+                           current={"cells": current_cells})
 
 
 def run_matrix_benchmark(output_path: str = "BENCH_simnet.json", *,
@@ -310,17 +320,7 @@ def run_matrix_benchmark(output_path: str = "BENCH_simnet.json", *,
         runner.close()
         artifacts.set_store(previous_store)
         shutil.rmtree(_MATRIX_BENCH_ARTIFACTS, ignore_errors=True)
-    try:
-        with open(output_path) as fh:
-            payload = json.load(fh)
-    except (OSError, ValueError):
-        payload = {"schema": BENCH_SCHEMA_VERSION, "quick": False,
-                   "baseline": {"cells": {}}, "current": {"cells": {}}}
-    payload["matrix"] = measured
-    with open(output_path, "w") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    return payload
+    return _write_sections(output_path, matrix=measured)
 
 
 def _run_bulk_transfer(environment: str, size: int, *, fastpath: bool,
@@ -429,17 +429,7 @@ def run_fastpath_benchmark(output_path: str = "BENCH_simnet.json", *,
             f"{best[False] * 1000:8.2f} ms off "
             f"({cells[key]['speedup_fastpath']}x, "
             f"{perf_fast.fastforward_spans} spans)")
-    try:
-        with open(output_path) as fh:
-            payload = json.load(fh)
-    except (OSError, ValueError):
-        payload = {"schema": BENCH_SCHEMA_VERSION, "quick": False,
-                   "baseline": {"cells": {}}, "current": {"cells": {}}}
-    payload["fastpath"] = {"cells": cells}
-    with open(output_path, "w") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    return payload
+    return _write_sections(output_path, fastpath={"cells": cells})
 
 
 def run_fleet_benchmark(output_path: str = "BENCH_simnet.json", *,
@@ -494,17 +484,7 @@ def run_fleet_benchmark(output_path: str = "BENCH_simnet.json", *,
         f"(jobs={runner.jobs}): {wall:6.1f} s "
         f"({measured['users_per_minute']:.0f} users/min, "
         f"p99 {measured['p99']:.2f} s)")
-    try:
-        with open(output_path) as fh:
-            payload = json.load(fh)
-    except (OSError, ValueError):
-        payload = {"schema": BENCH_SCHEMA_VERSION, "quick": False,
-                   "baseline": {"cells": {}}, "current": {"cells": {}}}
-    payload["fleet"] = measured
-    with open(output_path, "w") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    return payload
+    return _write_sections(output_path, fleet=measured)
 
 
 def check_bench_regression(current_cells: Dict[str, Dict[str, object]],

@@ -1,14 +1,19 @@
 """Perf-counter surfacing and the benchmark harness."""
 
+import functools
 import json
 import pathlib
 
 import pytest
 
+import repro.matrix
+from repro import perf
 from repro.core.runner import run_experiment, run_repeated
-from repro.perf import (BENCH_SCHEMA_VERSION, check_bench_regression,
-                        representative_cells, run_benchmark,
-                        run_matrix_benchmark, validate_bench_payload)
+from repro.perf import (BENCH_SCHEMA_VERSION, BenchCell,
+                        check_bench_regression, representative_cells,
+                        run_benchmark, run_fastpath_benchmark,
+                        run_fleet_benchmark, run_matrix_benchmark,
+                        validate_bench_payload)
 
 
 def test_trace_summary_carries_perf_counters():
@@ -154,6 +159,46 @@ def test_run_benchmark_writes_and_preserves_baseline(tmp_path):
     assert validate_bench_payload(on_disk) == []
     for entry in on_disk["current"]["cells"].values():
         assert "speedup_vs_baseline" in entry
+
+
+def _run_writer(name, out, monkeypatch, tmp_path):
+    """Run one bench writer at toy size (one cell, a few users)."""
+    quiet = dict(log=lambda line: None)
+    if name == "current":
+        monkeypatch.setattr(perf, "representative_cells", lambda: [
+            BenchCell("HTTP/1.1 Pipelined", "LAN")])
+        run_benchmark(str(out), repeats=1, **quiet)
+    elif name == "matrix":
+        monkeypatch.setattr(perf, "_MATRIX_BENCH_ARTIFACTS",
+                            str(tmp_path / "artifacts"))
+        monkeypatch.setattr(repro.matrix, "ExperimentMatrix",
+                            functools.partial(repro.matrix.ExperimentMatrix,
+                                              modes=("pipelined",),
+                                              environments=("LAN",)))
+        run_matrix_benchmark(str(out), jobs=1, warm_repeats=1, **quiet)
+    elif name == "fastpath":
+        monkeypatch.setattr(perf, "_FASTPATH_CELLS", (
+            ("bulk-256KB|LAN", "LAN", 256 * 1024, None),))
+        run_fastpath_benchmark(str(out), repeats=1, **quiet)
+    else:
+        run_fleet_benchmark(str(out), users=4, cohorts=2, jobs=1, **quiet)
+
+
+@pytest.mark.parametrize("writer", ["current", "matrix", "fastpath",
+                                    "fleet"])
+def test_every_bench_writer_keeps_unknown_sections(writer, tmp_path,
+                                                   monkeypatch):
+    out = tmp_path / "bench.json"
+    out.write_text(json.dumps({
+        "schema": BENCH_SCHEMA_VERSION, "quick": False,
+        "baseline": {"cells": {}}, "current": {"cells": {}},
+        "matrix": {"cells": 1}, "future-section": {"kept": True}}))
+    _run_writer(writer, out, monkeypatch, tmp_path)
+    on_disk = json.loads(out.read_text())
+    assert on_disk["future-section"] == {"kept": True}
+    if writer != "matrix":
+        assert on_disk["matrix"] == {"cells": 1}
+    assert on_disk[writer] != {"cells": {}}
 
 
 def test_committed_bench_file_is_valid():

@@ -1,5 +1,7 @@
 """Tests for the compact (delta) HTTP wire representation."""
 
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -125,8 +127,8 @@ def test_delta_roundtrip_property(messages, step):
        st.integers(60, 120))
 def test_large_message_roundtrip_uses_block_matcher(seed_a, seed_b,
                                                     repeats):
-    """Messages past DIFFLIB_LIMIT go through the O(n) block matcher;
-    the stream must still be lossless."""
+    """Large periodic messages stay lossless through the block
+    matcher."""
     first = (seed_a + seed_b) * repeats       # > 4096 bytes
     second = (seed_b + b"|" + seed_a) * repeats
     out, _ = roundtrip([first, second, first], step=1024)
@@ -147,3 +149,19 @@ def test_large_similar_messages_compress(seed_bytes, data):
     decoder._previous = base
     assert decoder.feed(frame) == [edited]
     assert len(frame) < len(edited) / 10
+
+
+@pytest.mark.parametrize("first, second", [
+    (b"abcd" * 490, b"abce" * 490),            # periodic, just under 2 KB
+    (b"abcd" * 16384, b"abce" * 16384),        # periodic, 64 KB
+], ids=["periodic-2KB", "periodic-64KB"])
+def test_encode_cost_is_bounded_on_periodic_input(first, second):
+    """Adversarial periodic pairs encode in linear time, not quadratic."""
+    encoder = DeltaStreamEncoder()
+    encoder.encode(first)
+    start = time.perf_counter()
+    frame = encoder.encode(second)
+    assert time.perf_counter() - start < 1.0
+    decoder = DeltaStreamDecoder()
+    decoder._previous = first
+    assert decoder.feed(frame) == [second]
