@@ -209,6 +209,10 @@ class _ConnState:
         #: watchdog is disabled or idle.
         self.watchdog_event = None
         self.deadline = 0.0
+        #: The response whose body chunks were last scanned, and its
+        #: Content-Encoding if it is HTML (None: not scanned).
+        self.scan_response: Optional[Response] = None
+        self.scan_coding: Optional[str] = None
         self.conn.on_data = self._on_data
         self.conn.on_eof = self._on_eof
         self.conn.on_reset = self._on_reset
@@ -608,18 +612,36 @@ class Robot:
                 self.on_body_progress(url, response, total, chunk)
         if self._scenario != FIRST_TIME:
             return
-        # Only the first (HTML) response feeds the scanner.
-        if response.headers.get("Content-Type", "").startswith("text/html"):
-            if response.headers.get("Content-Encoding") == "deflate":
-                if self._inflater is None:
-                    self._inflater = zlib.decompressobj()
-                try:
-                    text = self._inflater.decompress(chunk)
-                except zlib.error:
-                    return
-            else:
-                text = chunk
-            self._discover(text)
+        self._scan_body(state, response, chunk)
+
+    def _scan_body(self, owner, response: Response, chunk: bytes) -> None:
+        """Feed an HTML body chunk to discovery, inflating it if deflated.
+
+        Only HTML responses feed the scanner.  The decision is made on a
+        response's first chunk and kept on ``owner`` (the connection or
+        stream whose parser produced the response), so later chunks skip
+        the header lookups.
+        """
+        if owner.scan_response is not response:
+            headers = response.headers
+            owner.scan_response = response
+            owner.scan_coding = (
+                headers.get("Content-Encoding", "")
+                if headers.get("Content-Type", "").startswith("text/html")
+                else None)
+        coding = owner.scan_coding
+        if coding is None:
+            return
+        if coding == "deflate":
+            if self._inflater is None:
+                self._inflater = zlib.decompressobj()
+            try:
+                text = self._inflater.decompress(chunk)
+            except zlib.error:
+                return
+        else:
+            text = chunk
+        self._discover(text)
 
     def _discover(self, html_bytes: bytes) -> None:
         if not self.config.follow_images:

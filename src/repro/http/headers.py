@@ -8,14 +8,23 @@ matching case-insensitively for lookups.
 Lookups are a hot path — every simulated request/response consults a
 handful of fields — so the collection maintains a parallel list of
 lowercased names, paying ``str.lower`` once per field at insertion
-instead of once per field per lookup.
+instead of once per field per lookup.  Wire bytes are memoized by the
+exact field tuple: the server and the robot serialize the same few
+dozen header sets over and over.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Optional, Tuple
+from sys import intern
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 __all__ = ["Headers"]
+
+#: Entries in the wire-bytes memo; a full memo is cleared, not evicted.
+WIRE_MEMO_MAX = 256
+
+#: Serialized header lines by exact ``(name, value)`` tuple.
+_WIRE_MEMO: Dict[Tuple[Tuple[str, str], ...], bytes] = {}
 
 
 class Headers:
@@ -78,6 +87,8 @@ class Headers:
     def get_all(self, name: str) -> List[str]:
         """All values of field ``name`` in order."""
         lowered = name.lower()
+        if lowered not in self._lower:
+            return []
         return [item[1] for item, low in zip(self._items, self._lower)
                 if low == lowered]
 
@@ -97,6 +108,8 @@ class Headers:
         Used for e.g. ``Connection: keep-alive`` and
         ``Accept-Encoding: deflate`` checks.
         """
+        if name.lower() not in self._lower:
+            return False
         token = token.lower()
         for value in self.get_all(name):
             for part in value.split(","):
@@ -124,13 +137,31 @@ class Headers:
         duplicate._lower = list(self._lower)
         return duplicate
 
+    def interned(self) -> "Headers":
+        """A copy whose strings are interned, for long-lived templates.
+
+        Memoized heads that differ in one field (typically ``Date``)
+        then share every other string instead of each holding its own.
+        """
+        duplicate = Headers()
+        duplicate._items = [(intern(n), intern(v)) for n, v in self._items]
+        duplicate._lower = [intern(low) for low in self._lower]
+        return duplicate
+
     # ------------------------------------------------------------------
     # Wire format
     # ------------------------------------------------------------------
     def to_bytes(self) -> bytes:
         """Serialize as ``Name: value\\r\\n`` lines (no terminating blank)."""
-        return b"".join(f"{n}: {v}\r\n".encode("latin-1")
-                        for n, v in self._items)
+        key = tuple(self._items)
+        wire = _WIRE_MEMO.get(key)
+        if wire is None:
+            wire = b"".join(f"{n}: {v}\r\n".encode("latin-1")
+                            for n, v in key)
+            if len(_WIRE_MEMO) >= WIRE_MEMO_MAX:
+                _WIRE_MEMO.clear()
+            _WIRE_MEMO[key] = wire
+        return wire
 
     @classmethod
     def from_lines(cls, lines: Iterable[str]) -> "Headers":

@@ -11,11 +11,18 @@ Body framing follows RFC 2068 §4.4: no body for HEAD / 204 / 304,
 ``Transfer-Encoding: chunked``, then ``Content-Length``, then (for
 responses only) read-until-close, which HTTP/1.0 servers without
 keep-alive still use.
+
+Parsed heads are memoized by their exact header-block bytes: every
+simulated user sends and receives the same few dozen heads, so after
+the first user a head costs one dictionary lookup plus a fresh
+:class:`Headers` copy.  The memo only ever holds heads that parsed
+cleanly, and a hit returns exactly what parsing would (callers may
+mutate the headers they get; the memo's own copy is never handed out).
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .chunked import ChunkedDecoder
 from .headers import Headers
@@ -26,20 +33,30 @@ __all__ = ["ParseError", "RequestParser", "ResponseParser"]
 #: Upper bound on a header block; longer blocks indicate a framing bug.
 MAX_HEADER_BLOCK = 65536
 
+#: Entries per parsed-head memo; a full memo is cleared, not evicted.
+HEAD_MEMO_MAX = 2048
+
+#: A memoized head: (start-line fields, headers, chunked?, Content-Length).
+_Head = Tuple[tuple, Headers, bool, Optional[int]]
+
+#: Parsed request and response heads by exact header-block bytes.
+_REQUEST_HEADS: Dict[bytes, _Head] = {}
+_RESPONSE_HEADS: Dict[bytes, _Head] = {}
+
 
 class ParseError(ValueError):
     """Raised on malformed HTTP input."""
 
 
-def _find_header_end(buffer: bytearray) -> Tuple[int, int]:
-    """Locate the end of the header block.
+def _find_header_end(buffer: bytearray, start: int = 0) -> Tuple[int, int]:
+    """Locate the end of the header block, searching from ``start``.
 
     Returns ``(end_of_headers, start_of_body)`` or ``(-1, -1)`` if the
     block is incomplete.  Accepts both CRLF and bare-LF line endings, as
-    real 1997 servers had to.
+    real 1997 servers had to; the earlier terminator wins.
     """
-    crlf = buffer.find(b"\r\n\r\n")
-    lf = buffer.find(b"\n\n")
+    crlf = buffer.find(b"\r\n\r\n", start)
+    lf = buffer.find(b"\n\n", start)
     if crlf == -1 and lf == -1:
         return -1, -1
     if crlf != -1 and (lf == -1 or crlf < lf):
@@ -51,6 +68,50 @@ def _split_header_block(block: bytes) -> List[str]:
     """Split a raw header block into decoded lines."""
     text = block.decode("latin-1")
     return text.replace("\r\n", "\n").split("\n")
+
+
+def _parse_block(memo: Dict[bytes, _Head], block: bytes,
+                 parse_start: Callable[[str], tuple]) -> _Head:
+    """Parse a header block through ``memo``.
+
+    ``parse_start`` turns the start line into a tuple of fields.  Errors
+    propagate uncached, so malformed input raises what it always did.
+    """
+    head = memo.get(block)
+    if head is not None:
+        start, headers, chunked, length = head
+        return start, headers.copy(), chunked, length
+    lines = _split_header_block(block)
+    start = parse_start(lines[0])
+    headers = Headers.from_lines(lines[1:])
+    head = (start, headers.interned(),
+            headers.contains_token("Transfer-Encoding", "chunked"),
+            headers.get_int("Content-Length"))
+    if len(memo) >= HEAD_MEMO_MAX:
+        memo.clear()
+    memo[block] = head
+    return start, headers, head[2], head[3]
+
+
+def _parse_request_line(line: str) -> tuple:
+    parts = line.split()
+    if len(parts) == 2:
+        # HTTP/0.9 simple request: "GET /path".
+        method, target = parts
+        return method, target, (0, 9)
+    if len(parts) == 3:
+        method, target, version_text = parts
+        return method, target, parse_version(version_text)
+    raise ParseError(f"malformed request line: {line!r}")
+
+
+def _parse_status_line(line: str) -> tuple:
+    parts = line.split(None, 2)
+    if len(parts) < 2:
+        raise ParseError(f"malformed status line: {line!r}")
+    version = parse_version(parts[0])
+    status = int(parts[1])
+    return version, status, parts[2] if len(parts) > 2 else ""
 
 
 class _BodyReader:
@@ -76,10 +137,13 @@ class _BodyReader:
             return bytes(self.chunks)
         if self.mode == "length":
             take = min(self.remaining, len(buffer))
-            self.last_consumed = bytes(buffer[:take])
-            self.chunks.extend(buffer[:take])
+            run = bytes(buffer[:take])
             del buffer[:take]
+            self.last_consumed = run
             self.remaining -= take
+            if self.remaining == 0 and not self.chunks:
+                return run          # the whole body came in one run
+            self.chunks += run
             if self.remaining == 0:
                 return bytes(self.chunks)
             return None
@@ -111,6 +175,9 @@ class RequestParser:
         self._buffer = bytearray()
         self._current: Optional[Request] = None
         self._body: Optional[_BodyReader] = None
+        #: Leading buffer bytes already searched for a header terminator
+        #: (keeps a head fed a byte at a time linear, not quadratic).
+        self._scanned = 0
         #: Total bytes fed (wire accounting for server statistics).
         self.bytes_fed = 0
 
@@ -134,32 +201,26 @@ class RequestParser:
         return completed
 
     def _parse_head(self) -> bool:
-        end, body_start = _find_header_end(self._buffer)
+        # Resume the search where the last one stopped, backing up 3
+        # bytes for a terminator that straddles the old end.
+        end, body_start = _find_header_end(self._buffer,
+                                           max(0, self._scanned - 3))
         if end == -1:
             if len(self._buffer) > MAX_HEADER_BLOCK:
                 raise ParseError("header block too large")
             # Skip stray leading CRLFs between pipelined requests.
             while self._buffer[:2] == b"\r\n":
                 del self._buffer[:2]
+            self._scanned = len(self._buffer)
             return False
-        lines = _split_header_block(bytes(self._buffer[:end]))
+        block = bytes(self._buffer[:end])
         del self._buffer[:body_start]
-        request_line = lines[0]
-        parts = request_line.split()
-        if len(parts) == 2:
-            # HTTP/0.9 simple request: "GET /path".
-            method, target = parts
-            version = (0, 9)
-        elif len(parts) == 3:
-            method, target, version_text = parts
-            version = parse_version(version_text)
-        else:
-            raise ParseError(f"malformed request line: {request_line!r}")
-        headers = Headers.from_lines(lines[1:])
+        self._scanned = 0
+        (method, target, version), headers, chunked, length = _parse_block(
+            _REQUEST_HEADS, block, _parse_request_line)
         self._current = Request(method=method, target=target,
                                 version=version, headers=headers)
-        length = headers.get_int("Content-Length")
-        if headers.contains_token("Transfer-Encoding", "chunked"):
+        if chunked:
             self._body = _BodyReader("chunked")
         elif length:
             self._body = _BodyReader("length", length)
@@ -182,6 +243,7 @@ class ResponseParser:
         self._expected_methods: List[str] = []
         self._current: Optional[Response] = None
         self._body: Optional[_BodyReader] = None
+        self._scanned = 0
         self.bytes_fed = 0
         #: Total responses fully parsed (lets callers map streaming
         #: body callbacks to the right outstanding request even when
@@ -239,37 +301,33 @@ class ResponseParser:
         return None
 
     def _parse_head(self) -> bool:
-        end, body_start = _find_header_end(self._buffer)
+        end, body_start = _find_header_end(self._buffer,
+                                           max(0, self._scanned - 3))
         if end == -1:
             if len(self._buffer) > MAX_HEADER_BLOCK:
                 raise ParseError("header block too large")
+            self._scanned = len(self._buffer)
             return False
-        lines = _split_header_block(bytes(self._buffer[:end]))
+        block = bytes(self._buffer[:end])
         del self._buffer[:body_start]
-        status_line = lines[0]
-        parts = status_line.split(None, 2)
-        if len(parts) < 2:
-            raise ParseError(f"malformed status line: {status_line!r}")
-        version = parse_version(parts[0])
-        status = int(parts[1])
-        reason = parts[2] if len(parts) > 2 else ""
-        headers = Headers.from_lines(lines[1:])
+        self._scanned = 0
+        (version, status, reason), headers, chunked, length = _parse_block(
+            _RESPONSE_HEADS, block, _parse_status_line)
         method = (self._expected_methods.pop(0)
                   if self._expected_methods else "GET")
         self._current = Response(status=status, version=version,
                                  headers=headers, reason=reason,
                                  request_method=method)
-        self._body = self._choose_body(method, status, headers)
+        self._body = self._choose_body(method, status, chunked, length)
         return True
 
     @staticmethod
-    def _choose_body(method: str, status: int,
-                     headers: Headers) -> _BodyReader:
+    def _choose_body(method: str, status: int, chunked: bool,
+                     length: Optional[int]) -> _BodyReader:
         if method == "HEAD" or status in (204, 304) or 100 <= status < 200:
             return _BodyReader("none")
-        if headers.contains_token("Transfer-Encoding", "chunked"):
+        if chunked:
             return _BodyReader("chunked")
-        length = headers.get_int("Content-Length")
         if length is not None:
             return _BodyReader("length", length)
         return _BodyReader("close")

@@ -131,8 +131,21 @@ class DeepConfig:
     #: Path fragments whose module-global state is sanctioned (the
     #: artifact store propagates it via store_state/_pool_initializer).
     purity_path_waivers: Tuple[str, ...] = ("content/artifacts.py",)
-    #: Individual sanctioned globals (covered by the pool warm-up).
-    purity_global_waivers: Tuple[str, ...] = ("_DEFAULT_SITE_AND_STORE",)
+    #: Individual sanctioned globals, mapped to the reason each is safe.
+    #: A pure memo qualifies: the same key always gives the same value,
+    #: and the memo is never read into a result or a cache key.
+    purity_global_waivers: Mapping[str, str] = dataclasses.field(
+        default_factory=lambda: {
+            "_DEFAULT_SITE_AND_STORE": "covered by the pool warm-up",
+            "_CLASSIFY_CACHE": "pure memo: raw tag text -> frozen Token",
+            "_FEED_MEMO": "pure memo: (state, pending text, chunk) -> "
+                          "the tokenizer step those inputs determine",
+            "_REQUEST_HEADS": "pure memo: header-block bytes -> parsed "
+                              "head, copied on every hit",
+            "_RESPONSE_HEADS": "pure memo: header-block bytes -> parsed "
+                               "head, copied on every hit",
+            "_WIRE_MEMO": "pure memo: header field tuple -> wire bytes",
+        })
 
 
 DEFAULT_DEEP_CONFIG = DeepConfig()

@@ -1,11 +1,14 @@
 """Integration tests for the robot client against the simulated server."""
 
+import types
+import zlib
+
 import pytest
 
 from repro.client import FIRST_TIME, REVALIDATE, ClientConfig, Robot
 from repro.content import build_microscape_site
 from repro.core.scenarios import prefill_cache
-from repro.http import HTTP10, HTTP11, MemoryCache
+from repro.http import HTTP10, HTTP11, Headers, MemoryCache, Response
 from repro.server import (APACHE, APACHE_12B2, JIGSAW, ResourceStore,
                           SimHttpServer)
 from repro.simnet import LAN, SERVER_HOST, TwoHostNetwork
@@ -202,3 +205,27 @@ def test_on_complete_callback(site, store):
     robot.fetch(site.html_url)
     net.run()
     assert done and done[0].complete
+
+
+def test_body_scan_decides_per_response_not_per_owner():
+    """HTML-or-not and deflate-or-not are re-decided for each response."""
+    net = TwoHostNetwork(LAN)
+    robot = Robot(net.sim, net.client, SERVER_HOST, 80, ClientConfig())
+    scanned = []
+    robot._discover = scanned.append
+    owner = types.SimpleNamespace(scan_response=None, scan_coding=None)
+
+    def response(*fields):
+        return Response(200, headers=Headers(fields))
+    gif = response(("Content-Type", "image/gif"))
+    html = response(("Content-Type", "text/html"))
+    deflated = response(("Content-Type", "text/html"),
+                        ("Content-Encoding", "deflate"))
+    packed = zlib.compress(b'<img src="/b.gif">')
+    for resp, chunk in [(gif, b"<img src=/x.gif>"),
+                        (html, b'<img src="/a.gif">'),
+                        (html, b"<p>"),
+                        (deflated, packed[:5]), (deflated, packed[5:]),
+                        (gif, b"<img src=/y.gif>")]:
+        robot._scan_body(owner, resp, chunk)
+    assert b"".join(scanned) == b'<img src="/a.gif"><p><img src="/b.gif">'

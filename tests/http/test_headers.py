@@ -24,6 +24,7 @@ def test_add_keeps_duplicates_set_replaces():
     assert h.get_all("accept") == ["a", "b"]
     h.set("Accept", "c")
     assert h.get_all("accept") == ["c"]
+    assert h.get_all("Missing") == []
 
 
 def test_remove_returns_count():
@@ -50,6 +51,7 @@ def test_contains_token():
     assert h.contains_token("Connection", "keep-alive")
     assert h.contains_token("connection", "upgrade")
     assert not h.contains_token("Connection", "close")
+    assert not h.contains_token("Transfer-Encoding", "chunked")
 
 
 def test_from_lines_roundtrip():

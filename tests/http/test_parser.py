@@ -1,5 +1,7 @@
 """Unit tests for the incremental request/response parsers."""
 
+import time
+
 import pytest
 
 from repro.http import (Headers, ParseError, Request, RequestParser,
@@ -184,3 +186,42 @@ def test_response_roundtrip_with_deflate_body():
     parser.expect("GET")
     resps = parser.feed(original.to_bytes())
     assert zlib.decompress(resps[0].body).startswith(b"<html>")
+
+
+def _big_head(start_line):
+    """A complete head just under the 64 KB header-block limit."""
+    lines = [start_line]
+    size = len(start_line)
+    while size < 65000:
+        line = b"X-Pad-%05d: %s\r\n" % (len(lines), b"v" * 40)
+        lines.append(line)
+        size += len(line)
+    return b"".join(lines) + b"\r\n"
+
+
+@pytest.mark.parametrize("make_parser, start_line", [
+    (RequestParser, b"GET /big HTTP/1.1\r\n"),
+    (ResponseParser, b"HTTP/1.1 204 No Content\r\n"),
+], ids=["request", "response"])
+def test_header_end_search_is_linear_when_fed_one_byte_at_a_time(
+        make_parser, start_line):
+    """A 64 KB head fed a byte per call is not rescanned per byte."""
+    wire = _big_head(start_line)
+    parser = make_parser()
+    start = time.perf_counter()
+    messages = [m for i in range(len(wire))
+                for m in parser.feed(wire[i:i + 1])]
+    assert time.perf_counter() - start < 0.5
+    assert len(messages) == 1
+    assert len(messages[0].headers) > 1000
+
+
+@pytest.mark.parametrize("wire, body", [
+    (b"HTTP/1.1 200 OK\nContent-Length: 4\r\n\r\n\n\nab", b"\n\nab"),
+    (b"HTTP/1.1 200 OK\r\nContent-Length: 4\n\n\r\n\r\nab", b"\r\n\r\n"),
+], ids=["crlf-before-lf", "lf-before-crlf"])
+def test_earlier_terminator_wins_under_any_slicing(wire, body):
+    for step in (1, 2, 3, 5, len(wire)):
+        parser = ResponseParser()
+        parser.expect("GET")
+        assert [r.body for r in drip_feed(parser, wire, step)] == [body]
