@@ -203,9 +203,10 @@ nearest-rank p50/p95/p99 page-load time overall and per protocol
 mode, Jain's fairness index over per-session means, and the server's
 accept-backlog queueing record.  Committed throughput (under `fleet`
 in `BENCH_simnet.json`, gated at ≥1000 users/minute by
-`scripts/check.sh`): 1000 WAN users in 16 cohorts simulate in ~12 s
-of wall time — ~5000 users/minute — at p50 1.33 s / p95 6.23 s /
-p99 6.60 s with zero errors.
+`scripts/check.sh`; the median of three runs at one worker): 1000 WAN
+users in 16 cohorts simulate in 12–17 s of wall time, depending on
+the shared host's speed — 3500–5000 users/minute — at p50 1.33 s /
+p95 6.23 s / p99 6.60 s with zero errors.
 
 ## Known deviations
 

@@ -40,7 +40,8 @@ and ``--cache-dir PATH``; these plus ``run`` and ``bench`` accept
 ``--no-artifact-cache`` (disable the content-addressed encode memo
 under ``.repro-cache/artifacts/``).  ``bench --matrix`` times a
 24-cell grid cold vs. warm through the persistent worker pool;
-``bench --fleet`` times the 1000-user population workload.
+``bench --fleet`` times the 1000-user population workload (median of
+three runs, one worker unless ``--jobs`` says otherwise).
 
 Supervised execution (``table`` / ``modem`` / ``report``):
 ``--retry-budget N`` caps per-unit re-dispatches after a failure,
@@ -374,8 +375,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "(artifact store + worker pool) and record "
                             "it under the file's 'matrix' key")
     bench.add_argument("--jobs", type=int, default=None, metavar="N",
-                       help="worker processes for --matrix "
-                            "(default: one per CPU)")
+                       help="worker processes for --matrix (default: "
+                            "one per CPU) and --fleet (default: 1, the "
+                            "committed record's)")
     bench.add_argument("--fleet", action="store_true",
                        help="time the population-scale fleet workload "
                             "(1000 WAN users) and record it under the "

@@ -18,13 +18,18 @@ from __future__ import annotations
 from sys import intern
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
-__all__ = ["Headers"]
+__all__ = ["Headers", "ParseError"]
 
 #: Entries in the wire-bytes memo; a full memo is cleared, not evicted.
 WIRE_MEMO_MAX = 256
 
 #: Serialized header lines by exact ``(name, value)`` tuple.
 _WIRE_MEMO: Dict[Tuple[Tuple[str, str], ...], bytes] = {}
+
+
+class ParseError(ValueError):
+    """Raised on malformed HTTP input (defined here, the lowest layer
+    that parses peer bytes; :mod:`repro.http.parser` re-exports it)."""
 
 
 class Headers:
@@ -180,7 +185,7 @@ class Headers:
                 continue
             name, sep, value = line.partition(":")
             if not sep:
-                raise ValueError(f"malformed header line: {line!r}")
+                raise ParseError(f"malformed header line: {line!r}")
             headers.add(name.strip(), value.strip())
         return headers
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Optional, Tuple
 
-from .headers import Headers
+from .headers import Headers, ParseError
 
 __all__ = ["Request", "Response", "HTTP10", "HTTP11", "version_string",
            "STATUS_REASONS"]
@@ -44,12 +44,13 @@ def version_string(version: Tuple[int, int]) -> str:
 
 def parse_version(text: str) -> Tuple[int, int]:
     """Parse ``HTTP/x.y`` into a version tuple."""
-    if not text.startswith("HTTP/"):
-        raise ValueError(f"bad HTTP version: {text!r}")
     major, sep, minor = text[5:].partition(".")
-    if not sep:
-        raise ValueError(f"bad HTTP version: {text!r}")
-    return int(major), int(minor)
+    if text.startswith("HTTP/") and sep:
+        try:
+            return int(major), int(minor)
+        except ValueError:
+            pass
+    raise ParseError(f"bad HTTP version: {text!r}")
 
 
 @dataclasses.dataclass

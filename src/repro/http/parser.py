@@ -25,7 +25,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .chunked import ChunkedDecoder
-from .headers import Headers
+from .headers import Headers, ParseError
 from .messages import Request, Response, parse_version
 
 __all__ = ["ParseError", "RequestParser", "ResponseParser"]
@@ -42,10 +42,6 @@ _Head = Tuple[tuple, Headers, bool, Optional[int]]
 #: Parsed request and response heads by exact header-block bytes.
 _REQUEST_HEADS: Dict[bytes, _Head] = {}
 _RESPONSE_HEADS: Dict[bytes, _Head] = {}
-
-
-class ParseError(ValueError):
-    """Raised on malformed HTTP input."""
 
 
 def _find_header_end(buffer: bytearray, start: int = 0) -> Tuple[int, int]:
@@ -110,7 +106,10 @@ def _parse_status_line(line: str) -> tuple:
     if len(parts) < 2:
         raise ParseError(f"malformed status line: {line!r}")
     version = parse_version(parts[0])
-    status = int(parts[1])
+    try:
+        status = int(parts[1])
+    except ValueError:
+        raise ParseError(f"malformed status line: {line!r}") from None
     return version, status, parts[2] if len(parts) > 2 else ""
 
 

@@ -145,6 +145,8 @@ class DeepConfig:
             "_RESPONSE_HEADS": "pure memo: header-block bytes -> parsed "
                                "head, copied on every hit",
             "_WIRE_MEMO": "pure memo: header field tuple -> wire bytes",
+            "_STATE_MEMO": "pure memo: exact modem stream state + "
+                           "payload -> compressed size and next state",
         })
 
 

@@ -19,13 +19,19 @@ packets compress better than the first — exactly the stream behaviour of
 a real modem pair.
 
 :class:`LzwEncoder` / :class:`LzwDecoder` are complete, round-trippable
-codecs (property-tested); :class:`ModemCompressor` adapts the encoder to
-the :class:`~repro.simnet.link.WireCompressor` protocol, which only
-needs on-the-wire byte counts.
+codecs (property-tested).  :class:`ModemCompressor` implements the
+:class:`~repro.simnet.link.WireCompressor` protocol, which only needs
+on-the-wire byte counts, so it counts the encoder's bits without
+keeping its codes (:func:`encode_flushed`), and memoizes them on the
+exact stream state: every simulated PPP user pushes the same objects
+through a fresh modem pair.
 """
 
 from __future__ import annotations
 
+from array import array
+from itertools import islice
+from sys import getsizeof
 from typing import Dict, List, Optional, Tuple
 
 __all__ = ["LzwEncoder", "LzwDecoder", "lzw_compress", "lzw_decompress",
@@ -203,8 +209,148 @@ def lzw_decompress(codes: List[int]) -> bytes:
     return LzwDecoder().decode(codes)
 
 
+def _code_bits(next_code: int) -> int:
+    """Code width in effect once ``next_code`` is the next free code."""
+    bits = MIN_CODE_BITS
+    while next_code > (1 << bits) and bits < MAX_CODE_BITS:
+        bits += 1
+    return bits
+
+
+def encode_flushed(data: bytes, pairs: Dict[int, int], next_code: int,
+                   limit: int) -> Tuple[int, Dict[int, int], int]:
+    """Encode ``data`` from a flushed state, then flush; count bits only.
+
+    ``pairs`` is the live dictionary (keys as in :class:`LzwEncoder`,
+    mutated in place) and ``next_code`` its next free code; ``limit``
+    is the string-length cap (``max_string``, or any bound longer than
+    ``data`` for none).  Returns ``(bits, pairs, next_code)``: the
+    returned dictionary is a new object iff a CLEAR happened.  This is
+    :meth:`LzwEncoder.encode` plus :meth:`~LzwEncoder.flush` without
+    the code list, for non-empty ``data``.
+    """
+    code_bits = _code_bits(next_code)
+    grow_at = 1 << code_bits
+    pairs_get = pairs.get
+    bits = 0
+    stream = iter(data)
+    prefix_code = next(stream)
+    prefix_len = 1
+    for byte in stream:
+        if prefix_len < limit:
+            key = (prefix_code << 8) | byte
+            hit = pairs_get(key)
+            if hit is not None:
+                prefix_code = hit
+                prefix_len += 1
+                continue
+            bits += code_bits
+            if next_code >= MAX_CODES:
+                bits += code_bits
+                pairs = {}
+                pairs_get = pairs.get
+                next_code = FIRST_FREE_CODE
+                code_bits = MIN_CODE_BITS
+                grow_at = 1 << code_bits
+            else:
+                pairs[key] = next_code
+                next_code += 1
+                if next_code > grow_at and code_bits < MAX_CODE_BITS:
+                    code_bits += 1
+                    grow_at <<= 1
+        else:
+            bits += code_bits
+        prefix_code = byte
+        prefix_len = 1
+    return bits + code_bits, pairs, next_code
+
+
+# ----------------------------------------------------------------------
+# Exact-state memo
+# ----------------------------------------------------------------------
+#
+# A modem flushes at every payload, so a compressor's whole state
+# between payloads is the ordered list of dictionary keys added since
+# the last CLEAR (the next code and the code width follow from its
+# length).  Every simulated PPP user pushes the same objects through a
+# fresh compressor pair, so most payloads reach a state that has
+# already encoded them.  The states form a trie: a node is "this exact
+# payload sequence since a fresh compressor", and its children map the
+# next payload to (compressed bytes, child node).  A hit costs one
+# dictionary lookup; a miss rebuilds the live dictionary from the
+# node's key log (unless the compressor still holds it from its own
+# previous miss), encodes, and adds the child.
+
+#: Byte budget of the state memo, summed over its tries; a full memo
+#: is cleared, not evicted.
+STATE_MEMO_BUDGET = 16 * 1024 * 1024
+
+#: Bytes charged per memoized transition on top of its payload and key
+#: log (whose arrays are charged at their exact size): the edge tuple,
+#: the child node and its slot in the parent's children dict, and an
+#: interned payload's object header and table entry (tracemalloc-
+#: measured, rounded up).
+_EDGE_BYTES = 400
+_PAYLOAD_BYTES = 120
+
+
+class _State:
+    """One exact flushed encoder state.
+
+    ``log[:size]`` are its dictionary keys in code order.  A log array
+    is shared along a branch: a child that adds keys appends them in
+    place when the array still ends at its parent's size, and copies
+    the parent's prefix only where branches diverge, so ``log[:size]``
+    never changes once a node holds it.
+    """
+
+    __slots__ = ("log", "size", "children")
+
+    def __init__(self, log: array, size: int) -> None:
+        self.log = log
+        self.size = size
+        #: payload -> (compressed bytes, child state); None until the
+        #: first child (most nodes are leaves).
+        self.children: Optional[Dict[bytes, Tuple[int, "_State"]]] = None
+
+
+class _StateTrie:
+    """States reachable from a fresh compressor with one ``max_string``."""
+
+    __slots__ = ("root", "payloads", "charged")
+
+    def __init__(self) -> None:
+        self.root = _State(array("I"), 0)
+        #: Interned payloads: one object per distinct payload, however
+        #: many states it follows.
+        self.payloads: Dict[bytes, bytes] = {}
+        #: Accounted bytes (see :data:`STATE_MEMO_BUDGET`).
+        self.charged = 0
+
+
+#: The state memo: one trie per ``max_string`` setting.
+_STATE_MEMO: Dict[Optional[int], _StateTrie] = {}
+
+
+def _trie(max_string: Optional[int]) -> _StateTrie:
+    trie = _STATE_MEMO.get(max_string)
+    if trie is None:
+        trie = _STATE_MEMO[max_string] = _StateTrie()
+    return trie
+
+
+def clear_state_memo() -> None:
+    """Drop every memoized state (outputs never depend on the memo)."""
+    _STATE_MEMO.clear()
+
+
+def state_memo_charged() -> int:
+    """Bytes the state memo currently accounts for."""
+    return sum(trie.charged for trie in _STATE_MEMO.values())
+
+
 class ModemCompressor:
-    """Adapts :class:`LzwEncoder` to one link direction.
+    """The V.42bis model of one link direction.
 
     For each packet payload the modem compares the LZW output size with
     the raw size and transmits whichever is smaller, plus
@@ -219,6 +365,11 @@ class ModemCompressor:
     pair — its 2048-entry LRU dictionary, frame flushes and retrains
     eat the rest.  0.25 reproduces the measured path; 1.0 gives the
     idealized codec.
+
+    The encoding is :func:`encode_flushed` (the bits
+    :class:`LzwEncoder` would emit, flushed per payload) walked through
+    the exact-state memo, so a payload some compressor already encoded
+    from this compressor's exact state costs a lookup.
     """
 
     MODE_MARKER_BYTES = 1
@@ -229,9 +380,12 @@ class ModemCompressor:
 
     def __init__(self, max_string: Optional[int] = V42BIS_MAX_STRING,
                  efficiency: float = DEFAULT_EFFICIENCY) -> None:
-        self._encoder = LzwEncoder(max_string=max_string)
+        self.max_string = max_string
         self.efficiency = efficiency
-        self._bits_reported = 0
+        self._state = _trie(max_string).root
+        #: The live dictionary of ``_state`` when this compressor built
+        #: it on its last miss; None after a hit.
+        self._pairs: Optional[Dict[int, int]] = {}
         #: Totals for inspection: raw payload bytes vs wire bytes.
         self.raw_bytes = 0
         self.transmitted_bytes = 0
@@ -240,16 +394,60 @@ class ModemCompressor:
         """On-the-wire byte count for ``payload`` (stateful)."""
         if not payload:
             return 0
-        self._encoder.encode(payload)
-        total_bits = self._encoder.flush()
-        compressed = (total_bits - self._bits_reported + 7) // 8
-        self._bits_reported = total_bits
+        children = self._state.children
+        edge = children.get(payload) if children is not None else None
+        if edge is None:
+            edge = self._encode(payload)
+        else:
+            self._pairs = None
+        compressed, self._state = edge
         savings = max(0, len(payload) - compressed)
         realized = int(savings * self.efficiency)
         wire = len(payload) - realized + self.MODE_MARKER_BYTES
         self.raw_bytes += len(payload)
         self.transmitted_bytes += wire
         return wire
+
+    def _encode(self, payload: bytes) -> Tuple[int, _State]:
+        """Memo miss: encode ``payload`` from the current state."""
+        state = self._state
+        log, size = state.log, state.size
+        pairs = self._pairs
+        if pairs is None:
+            pairs = dict(zip(log[:size], range(FIRST_FREE_CODE,
+                                               FIRST_FREE_CODE + size)))
+        limit = self.max_string
+        bits, after, next_code = encode_flushed(
+            payload, pairs, FIRST_FREE_CODE + size,
+            len(payload) if limit is None else limit)
+        self._pairs = after
+        grown = next_code - FIRST_FREE_CODE
+        cost = _EDGE_BYTES + len(payload) + _PAYLOAD_BYTES
+        if after is not pairs:                  # CLEAR: a fresh log
+            log = array("I", after)
+            cost += getsizeof(log)
+        elif grown > size:
+            if len(log) != size:                # diverge from a sibling
+                log = log[:size]
+                before = 0
+            else:
+                before = getsizeof(log)
+            added = list(islice(reversed(after), grown - size))
+            added.reverse()
+            log.extend(added)
+            cost += getsizeof(log) - before
+        if state_memo_charged() + cost > STATE_MEMO_BUDGET:
+            clear_state_memo()
+        trie = _trie(limit)
+        interned = trie.payloads.setdefault(payload, payload)
+        if interned is not payload:
+            cost -= len(payload) + _PAYLOAD_BYTES
+        trie.charged += cost
+        edge = ((bits + 7) // 8, _State(log, grown))
+        if state.children is None:
+            state.children = {}
+        state.children[interned] = edge
+        return edge
 
     @property
     def compression_ratio(self) -> float:

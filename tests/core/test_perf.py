@@ -201,6 +201,18 @@ def test_every_bench_writer_keeps_unknown_sections(writer, tmp_path,
     assert on_disk[writer] != {"cells": {}}
 
 
+def test_fleet_bench_records_the_median_of_fixed_samples(tmp_path):
+    out = tmp_path / "bench.json"
+    payload = run_fleet_benchmark(str(out), users=4, cohorts=2,
+                                  log=lambda line: None)
+    fleet = payload["fleet"]
+    assert fleet["jobs"] == perf.FLEET_BENCH_JOBS == 1
+    samples = fleet["wall_time_samples"]
+    assert len(samples) == perf.FLEET_BENCH_SAMPLES == 3
+    assert fleet["wall_time"] == sorted(samples)[1]
+    assert fleet["users_per_minute"] == round(4 / fleet["wall_time"] * 60, 1)
+
+
 def test_committed_bench_file_is_valid():
     bench = pathlib.Path(__file__).parents[2] / "BENCH_simnet.json"
     payload = json.loads(bench.read_text())

@@ -166,18 +166,18 @@ def test_heads_that_differ_in_any_byte_parse_apart():
     assert [fields(RequestParser().feed(w)[0]) for w in variants] == parsed
 
 
-@pytest.mark.parametrize("parser_class, wire, error", [
-    (RequestParser, b"BREW\r\nHost: h\r\n\r\n", ParseError),
-    (RequestParser, b"GET / HTTP/x\r\n\r\n", ValueError),
-    (RequestParser, b"GET / HTTP/1.1\r\nno colon here\r\n\r\n", ValueError),
-    (ResponseParser, b"HTTP/1.1\r\n\r\n", ParseError),
-    (ResponseParser, b"HTTP/1.1 abc OK\r\n\r\n", ValueError),
+@pytest.mark.parametrize("parser_class, wire", [
+    (RequestParser, b"BREW\r\nHost: h\r\n\r\n"),
+    (RequestParser, b"GET / HTTP/x\r\n\r\n"),
+    (RequestParser, b"GET / HTTP/1.1\r\nno colon here\r\n\r\n"),
+    (ResponseParser, b"HTTP/1.1\r\n\r\n"),
+    (ResponseParser, b"HTTP/1.1 abc OK\r\n\r\n"),
 ])
 def test_malformed_heads_raise_every_time_and_are_not_cached(
-        parser_class, wire, error):
+        parser_class, wire):
     clear_memos()
     for _ in range(2):
-        with pytest.raises(error):
+        with pytest.raises(ParseError):
             parser_class().feed(wire)
     assert not parser_module._REQUEST_HEADS
     assert not parser_module._RESPONSE_HEADS

@@ -142,6 +142,49 @@ def test_garbage_never_crashes_response_parser(noise):
         pass
 
 
+#: Start-line and header pieces near the grammar, so complete heads
+#: reach the version, status and header-line checks (random bytes
+#: rarely even form a terminated head).
+_line = st.text(alphabet=string.printable.replace("\r", "").replace(
+    "\n", ""), max_size=30)
+_start_piece = st.one_of(_line, st.sampled_from([
+    "GET", "HEAD", "POST", "BREW", "/", "/a/b.gif", "HTTP/1.1", "HTTP/1.0",
+    "HTTP/x", "HTTP/1", "HTTP/1.x", "HTTP/-1.1", "HTTP/", "200", "304",
+    "abc", "-1", "OK"]))
+_header_line = st.one_of(_line, st.builds(
+    "{}:{}".format,
+    st.sampled_from(["Content-Length", "Transfer-Encoding", "Host",
+                     "Connection", ""]),
+    st.sampled_from(["chunked", "12", "-3", "abc", "", " 0 ",
+                     "close"])))
+
+
+@st.composite
+def heads(draw):
+    """A complete head: start line, header lines, CRLF CRLF, some body."""
+    start = " ".join(draw(st.lists(_start_piece, max_size=4)))
+    lines = draw(st.lists(_header_line, max_size=5))
+    text = "\r\n".join([start] + lines) + "\r\n\r\n"
+    return text.encode("latin-1") + draw(st.binary(max_size=40))
+
+
+@settings(max_examples=200, deadline=None)
+@given(heads())
+def test_complete_heads_raise_only_parse_error(wire):
+    parser = RequestParser()
+    try:
+        parser.feed(wire)
+    except ParseError:
+        pass        # the only acceptable exception
+    parser = ResponseParser()
+    parser.expect("GET")
+    try:
+        parser.feed(wire)
+        parser.eof()
+    except ParseError:
+        pass
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.binary(max_size=200), st.binary(max_size=200))
 def test_valid_prefix_then_garbage(prefix_body, noise):
